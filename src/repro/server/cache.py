@@ -27,7 +27,9 @@ whose bytes have not changed:
 * **Link-checked at build time.**  Every page-producing build runs
   :func:`repro.web.linkcheck.check_site` and stores the report, so the
   ``/health/<model>`` endpoint surfaces broken anchors instead of the
-  server silently shipping them.
+  server silently shipping them.  An incremental rebuild hands the
+  check the previous entry's pages and report, so only the pages whose
+  text changed are rescanned.
 * **Degrades, never hangs (DESIGN.md §12).**  Builds are bounded by a
   global slot pool: a rebuild that cannot get a slot within the wait
   budget is *shed* (:class:`CacheOverloadError` → 503 + Retry-After)
@@ -432,7 +434,9 @@ class SiteCache:
             content_hash=record.content_hash, revision=record.revision,
             pages=pages,
             etags={name: page_etag(data) for name, data in pages.items()},
-            link_report=check_site(site), messages=site.messages)
+            link_report=check_site(
+                site, previous=(previous_pages, previous.link_report)),
+            messages=site.messages)
         with self._meta_lock:
             self._dep_indexes[key] = (entry.content_hash, new_index)
         self._bump("incremental_fallback" if info["mode"] == "full"

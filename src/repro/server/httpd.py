@@ -36,8 +36,9 @@ from ..faults import FAULTS, FaultError, fault_point
 from ..obs.recorder import RECORDER as _REC
 from .app import ModelRepositoryApp
 
-__all__ = ["ModelServer", "make_handler", "make_server", "serve_forever",
-           "MAX_BODY_BYTES", "READ_TIMEOUT_S"]
+__all__ = ["ModelServer", "RepositoryHTTPServer", "make_handler",
+           "make_server", "serve_forever", "MAX_BODY_BYTES",
+           "READ_TIMEOUT_S"]
 
 #: Largest accepted request body; a PUT beyond this is answered 413.
 #: Generous for model documents (the large benchmark model is ~1 MB).
@@ -216,21 +217,29 @@ def make_handler(app: ModelRepositoryApp, *, quiet: bool = True,
                  "max_body_bytes": max_body_bytes})
 
 
+class RepositoryHTTPServer(ThreadingHTTPServer):
+    """The threaded server under every socket layer of the repository."""
+
+    daemon_threads = True
+    #: ``listen()`` backlog.  The stdlib default of 5 overflows under a
+    #: burst of concurrent connects; the kernel then drops the SYNs and
+    #: the clients retransmit only after about a second.
+    request_queue_size = 128
+
+
 def make_server(app: ModelRepositoryApp | None = None, *,
                 host: str = "127.0.0.1", port: int = 0,
                 quiet: bool = True,
                 read_timeout_s: float = READ_TIMEOUT_S,
                 max_body_bytes: int = MAX_BODY_BYTES
-                ) -> tuple[ThreadingHTTPServer, ModelRepositoryApp]:
+                ) -> tuple[RepositoryHTTPServer, ModelRepositoryApp]:
     """A bound (not yet serving) threaded server around *app*."""
     if app is None:
         app = ModelRepositoryApp()
     handler = make_handler(app, quiet=quiet,
                            read_timeout_s=read_timeout_s,
                            max_body_bytes=max_body_bytes)
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server, app
+    return RepositoryHTTPServer((host, port), handler), app
 
 
 class ModelServer:

@@ -6,16 +6,30 @@ different pieces of information" is testable: every ``href`` and every
 each HTML page (with the stdlib HTML parser, since the ``html`` output
 method legitimately leaves void elements unclosed) and reports dangling
 references and orphan pages.
+
+Scanning is the expensive half, and it is per page: the report keeps each
+page's anchors and links, so checking the next build of an edited site
+rescans only the pages whose text changed.  The cross-page join always
+runs in full, so a reusing check and a cold check report the same thing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from typing import NamedTuple
 
 from .publisher import PROFILE_PAGE, Site
 
-__all__ = ["LinkReport", "check_site"]
+__all__ = ["LinkReport", "PageScan", "check_site"]
+
+
+class PageScan(NamedTuple):
+    """What one page contributes to the link graph."""
+
+    anchors: frozenset[str]
+    links: tuple[str, ...]
 
 
 @dataclass
@@ -29,6 +43,10 @@ class LinkReport:
     #: Pages with no inbound link (excluding index.html).
     orphans: list[str] = field(default_factory=list)
     total_links: int = 0
+    #: page → its scan, for reuse by the next check of the same site.
+    #: Empty for a report rebuilt from its JSON form (the disk tier).
+    scans: dict[str, PageScan] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -60,22 +78,38 @@ class _PageScanner(HTMLParser):
                 self.links.append(href)
 
 
-def check_site(site: Site) -> LinkReport:
-    """Check every internal link and anchor of *site*."""
-    report = LinkReport()
-    anchors: dict[str, set[str]] = {}
-    links: dict[str, list[str]] = {}
+def _scan_page(content: str) -> PageScan:
+    scanner = _PageScanner()
+    scanner.feed(content)
+    return PageScan(frozenset(scanner.anchors), tuple(scanner.links))
 
+
+def check_site(
+        site: Site,
+        previous: tuple[Mapping[str, str], LinkReport | None] | None = None,
+) -> LinkReport:
+    """Check every internal link and anchor of *site*.
+
+    *previous* is an earlier build of the same site as ``(pages,
+    report)``: a page whose text equals its text in ``pages`` reuses its
+    scan from ``report`` instead of being parsed again.  Pages the report
+    has no scan for (a report loaded from disk keeps none) are scanned.
+    The result is the same as a check without *previous*.
+    """
+    old_pages, old_report = previous if previous is not None else ({}, None)
+    old_scans = old_report.scans if old_report is not None else {}
+    report = LinkReport()
+    scans = report.scans
     for name, content in site.pages.items():
         if not name.endswith(".html"):
             continue
-        scanner = _PageScanner()
-        scanner.feed(content)
-        anchors[name] = scanner.anchors
-        links[name] = scanner.links
+        scan = old_scans.get(name)
+        if scan is None or old_pages.get(name) != content:
+            scan = _scan_page(content)
+        scans[name] = scan
 
     inbound: set[str] = set()
-    for page, page_links in links.items():
+    for page, (_, page_links) in scans.items():
         for href in page_links:
             report.total_links += 1
             target, _, fragment = href.partition("#")
@@ -84,7 +118,9 @@ def check_site(site: Site) -> LinkReport:
                 report.broken_pages.append((page, href))
                 continue
             inbound.add(target_page)
-            if fragment and fragment not in anchors.get(target_page, set()):
+            target_scan = scans.get(target_page)
+            if fragment and (target_scan is None
+                             or fragment not in target_scan.anchors):
                 report.broken_anchors.append((page, href))
 
     for name in site.pages:

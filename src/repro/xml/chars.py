@@ -12,15 +12,20 @@ validator depend on:
 The ranges are transcribed directly from the specification.  They are kept
 as tuples of ``(low, high)`` code-point pairs and searched with
 :func:`bisect.bisect_right`, which keeps membership checks O(log n) without
-building multi-megabyte lookup sets.
+building multi-megabyte lookup sets.  The same tuples are rendered into the
+compiled patterns the scanner consumes whole runs with (``NAME_RE``,
+``ILLEGAL_CLASS``), so the predicates and the bulk scans cannot drift apart.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from functools import lru_cache
 
 __all__ = [
+    "NAME_RE",
+    "ILLEGAL_CLASS",
     "is_xml_char",
     "is_space",
     "is_name_start_char",
@@ -81,11 +86,39 @@ def _compile(ranges: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]
     return lows, highs
 
 
+_NAME_START_SORTED = tuple(sorted(_NAME_START_RANGES))
+_NAME_SORTED = tuple(sorted(_NAME_START_RANGES + _NAME_EXTRA_RANGES))
+
 _CHAR_LOWS, _CHAR_HIGHS = _compile(_CHAR_RANGES)
-_START_LOWS, _START_HIGHS = _compile(
-    tuple(sorted(_NAME_START_RANGES)))
-_NAME_LOWS, _NAME_HIGHS = _compile(
-    tuple(sorted(_NAME_START_RANGES + _NAME_EXTRA_RANGES)))
+_START_LOWS, _START_HIGHS = _compile(_NAME_START_SORTED)
+_NAME_LOWS, _NAME_HIGHS = _compile(_NAME_SORTED)
+
+
+def _class_body(ranges: tuple[tuple[int, int], ...]) -> str:
+    """A regex character-class body matching exactly *ranges*."""
+    return "".join(
+        f"\\U{low:08X}" if low == high else f"\\U{low:08X}-\\U{high:08X}"
+        for low, high in ranges)
+
+
+def _complement(ranges: tuple[tuple[int, int], ...]
+                ) -> tuple[tuple[int, int], ...]:
+    gaps, low = [], 0
+    for start, end in ranges:
+        if start > low:
+            gaps.append((low, start - 1))
+        low = end + 1
+    if low <= 0x10FFFF:
+        gaps.append((low, 0x10FFFF))
+    return tuple(gaps)
+
+
+#: Character-class body of the code points production [2] forbids.
+ILLEGAL_CLASS = _class_body(_complement(_CHAR_RANGES))
+
+#: Production [5] Name, matched in one step.
+NAME_RE = re.compile(
+    f"[{_class_body(_NAME_START_SORTED)}][{_class_body(_NAME_SORTED)}]*")
 
 
 def _in_ranges(cp: int, lows: list[int], highs: list[int]) -> bool:
@@ -120,9 +153,7 @@ def is_name_char(ch: str) -> bool:
 @lru_cache(maxsize=8192)
 def is_name(text: str) -> bool:
     """Return True if *text* is a valid XML ``Name`` (colons allowed)."""
-    if not text or not is_name_start_char(text[0]):
-        return False
-    return all(is_name_char(ch) for ch in text[1:])
+    return NAME_RE.fullmatch(text) is not None
 
 
 @lru_cache(maxsize=8192)

@@ -22,7 +22,10 @@ Example
 
 from __future__ import annotations
 
-from .chars import is_qname, is_xml_char
+import re
+from typing import NoReturn
+
+from .chars import ILLEGAL_CLASS, NAME_RE, is_qname
 from .dom import (
     Attribute,
     Comment,
@@ -36,6 +39,32 @@ from .escaping import resolve_char_ref, resolve_entity
 from .lexer import Scanner
 
 __all__ = ["parse", "parse_file", "XMLParser"]
+
+# Bulk runs.  Each pattern consumes the longest stretch that needs no
+# special handling; the parser's per-character code then deals with the
+# one character that stopped the run (a reference, a CR, a possible
+# ``]]>``, an illegal character, a quote or the end of input).  The
+# classes exclude exactly those characters, so a run never swallows
+# anything the well-formedness checks would have rejected.
+
+#: Character data up to ``<``, ``&``, CR, ``]`` or an illegal character.
+_TEXT_RUN = re.compile(f"[^<&\r\\]{ILLEGAL_CLASS}]+")
+#: Attribute-value characters that are kept verbatim, per quote style.
+_VALUE_RUN = {
+    quote: re.compile(f"[^{quote}<&\t\n\r{ILLEGAL_CLASS}]*")
+    for quote in ("'", '"')
+}
+#: The end of a start tag, ``>`` or ``/>``.
+_TAG_CLOSE = re.compile("[ \t\r\n]*(/?)>")
+#: An attribute up to the first value character that needs a closer look:
+#: ``S Name Eq``, the opening quote and a bulk run of the value.
+_ATTRIBUTE_HEAD = re.compile(
+    f"[ \t\r\n]+({NAME_RE.pattern})[ \t\r\n]*=[ \t\r\n]*"
+    + "(?:" + "|".join(
+        f"{quote}({run.pattern})" for quote, run in _VALUE_RUN.items())
+    + ")")
+#: The characters the internal-subset skipper has to look at.
+_SUBSET_MARK = re.compile("[][\"']")
 
 
 def parse(text: str | bytes, *, namespaces: bool = True) -> Document:
@@ -74,6 +103,13 @@ def _decode(data: bytes) -> str:
             if match:
                 return data.decode(match.group(1))
     return data.decode("utf-8")
+
+
+def _normalize_line_ends(data: str) -> str:
+    """End-of-line normalization (XML 1.0 §2.11) of a raw section."""
+    if "\r" in data:
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
+    return data
 
 
 class XMLParser:
@@ -179,18 +215,18 @@ class XMLParser:
             start = scanner.pos
             depth = 1
             while depth:
-                ch = scanner.peek()
-                if not ch:
+                mark = _SUBSET_MARK.search(scanner.text, scanner.pos)
+                if mark is None:
+                    scanner.pos = len(scanner.text)
                     raise scanner.error("unterminated internal subset")
+                scanner.pos = mark.end()
+                ch = mark.group()
                 if ch == "[":
                     depth += 1
                 elif ch == "]":
                     depth -= 1
-                elif ch == '"' or ch == "'":
-                    scanner.advance()
+                else:
                     scanner.read_until(ch, "literal in internal subset")
-                    continue
-                scanner.advance()
             document.internal_subset = scanner.text[start:scanner.pos - 1]
             scanner.skip_space()
         scanner.expect(">", "end of DOCTYPE")
@@ -212,6 +248,7 @@ class XMLParser:
     def _parse_element(self, parent_element: Element | None) -> Element:
         scanner = self._scanner
         assert scanner is not None
+        text = scanner.text
         start = scanner.pos
         scanner.expect("<")
         name = scanner.read_name("element name")
@@ -222,40 +259,66 @@ class XMLParser:
             element.parent = parent_element
 
         seen_attrs: set[str] = set()
-        while True:
-            had_space = scanner.skip_space()
-            ch = scanner.peek()
-            if ch == ">":
-                scanner.advance()
-                self._parse_content(element)
-                self._parse_end_tag(element)
-                break
-            if scanner.startswith("/>"):
-                scanner.advance(2)
-                break
-            if not had_space:
-                raise scanner.error("white space required before attribute")
-            self._parse_attribute(element, seen_attrs)
+        pos = scanner.pos
+        head = _ATTRIBUTE_HEAD.match(text, pos)
+        while head is not None:
+            attr_name, single, double = head.groups()
+            attr_start = head.start(1)
+            if attr_name in seen_attrs:
+                raise scanner.error(
+                    f"duplicate attribute {attr_name!r}", attr_start)
+            seen_attrs.add(attr_name)
+            quote, value = ("'", single) if double is None else ('"', double)
+            pos = head.end()
+            if text.startswith(quote, pos):
+                # The common case: the first run was the whole value.
+                pos += 1
+            else:
+                scanner.pos = pos
+                value = self._finish_attribute_value(quote, value)
+                pos = scanner.pos
+            if attr_name.startswith("xmlns"):
+                self._declare_namespace(element, attr_name, value, attr_start)
+            line, column = scanner.location(attr_start)
+            attr = Attribute(attr_name, value, line=line, column=column)
+            attr.parent = element
+            element.attributes.append(attr)
+            head = _ATTRIBUTE_HEAD.match(text, pos)
+        close = _TAG_CLOSE.match(text, pos)
+        if close is None:
+            scanner.pos = pos
+            self._raise_attribute_error(seen_attrs)
+        scanner.pos = close.end()
+        if not close.group(1):
+            self._parse_content(element)
+            self._parse_end_tag(element)
 
         element.parent = None  # the caller re-attaches via append_child
         if self.namespaces:
             self._check_namespaces(element, parent_element)
         return element
 
-    def _parse_attribute(self, element: Element, seen: set[str]) -> None:
+    def _raise_attribute_error(self, seen: set[str]) -> NoReturn:
+        """Report why the start tag neither ends nor goes on with an
+        attribute (``S Name Eq`` and a quote)."""
         scanner = self._scanner
         assert scanner is not None
+        if not scanner.skip_space():
+            raise scanner.error("white space required before attribute")
         attr_start = scanner.pos
         name = scanner.read_name("attribute name")
         if name in seen:
-            raise scanner.error(
-                f"duplicate attribute {name!r}", attr_start)
-        seen.add(name)
+            raise scanner.error(f"duplicate attribute {name!r}", attr_start)
         scanner.skip_space()
         scanner.expect("=", "'=' after attribute name")
         scanner.skip_space()
-        value = self._parse_attribute_value()
-        line, column = scanner.location(attr_start)
+        raise scanner.error("attribute value must be quoted")
+
+    def _declare_namespace(self, element: Element, name: str, value: str,
+                           attr_start: int) -> None:
+        """Apply the namespace declaration attribute *name*, if it is one."""
+        scanner = self._scanner
+        assert scanner is not None
         if name == "xmlns":
             element.declare_namespace("", value)
         elif name.startswith("xmlns:"):
@@ -271,93 +334,91 @@ class XMLParser:
                     f"namespace prefix {prefix!r} cannot be undeclared "
                     "in XML 1.0", attr_start)
             element.declare_namespace(prefix, value)
-        attr = Attribute(name, value, line=line, column=column)
-        attr.parent = element
-        element.attributes.append(attr)
 
-    def _parse_attribute_value(self) -> str:
+    def _finish_attribute_value(self, quote: str, first_run: str) -> str:
+        """Read the rest of a *quote*-delimited value from the character
+        that stopped its first bulk run *first_run*."""
         scanner = self._scanner
         assert scanner is not None
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        parts: list[str] = []
+        text = scanner.text
+        run = _VALUE_RUN[quote].match
+        parts = [first_run]
         while True:
-            ch = scanner.peek()
+            pos = scanner.pos
+            ch = text[pos:pos + 1]
             if not ch:
                 raise scanner.error("unterminated attribute value")
             if ch == quote:
-                scanner.advance()
+                scanner.pos = pos + 1
                 return "".join(parts)
             if ch == "<":
                 raise scanner.error("'<' is not allowed in attribute values")
             if ch == "&":
                 parts.append(self._parse_reference())
-                continue
-            if ch in "\t\r\n":
+            elif ch in "\t\r\n":
                 # Attribute-value normalization (XML 1.0 §3.3.3).
                 parts.append(" ")
-                if ch == "\r" and scanner.peek(1) == "\n":
-                    scanner.advance()
+                if ch == "\r" and text.startswith("\n", pos + 1):
+                    pos += 1
+                scanner.pos = pos + 1
             else:
-                if not is_xml_char(ch):
-                    raise scanner.error(
-                        f"illegal character U+{ord(ch):04X} in attribute")
-                parts.append(ch)
-            scanner.advance()
+                raise scanner.error(
+                    f"illegal character U+{ord(ch):04X} in attribute")
+            chunk = run(text, scanner.pos)
+            parts.append(chunk.group())
+            scanner.pos = chunk.end()
 
     def _parse_content(self, element: Element) -> None:
         scanner = self._scanner
         assert scanner is not None
+        text = scanner.text
+        run = _TEXT_RUN.match
         text_parts: list[str] = []
-
-        def flush() -> None:
-            if text_parts:
-                element.append_child(Text("".join(text_parts)))
-                text_parts.clear()
-
         while True:
-            ch = scanner.peek()
-            if not ch:
-                raise scanner.error(
-                    f"unexpected end of input inside <{element.name}>")
+            chunk = run(text, scanner.pos)
+            if chunk is not None:
+                text_parts.append(chunk.group())
+                scanner.pos = chunk.end()
+            pos = scanner.pos
+            ch = text[pos:pos + 1]
             if ch == "<":
-                if scanner.startswith("</"):
-                    flush()
+                if text_parts:
+                    element.append_child(Text("".join(text_parts)))
+                    text_parts = []
+                if text.startswith("</", pos):
                     return
-                if scanner.startswith("<!--"):
-                    flush()
+                if text.startswith("<!--", pos):
                     element.append_child(self._parse_comment())
-                elif scanner.startswith("<![CDATA["):
-                    scanner.advance(9)
+                elif text.startswith("<![CDATA[", pos):
+                    scanner.pos = pos + 9
                     data = scanner.read_until("]]>", "CDATA section")
-                    element.append_child(Text(data, is_cdata=True))
-                elif scanner.startswith("<?"):
-                    flush()
+                    element.append_child(
+                        Text(_normalize_line_ends(data), is_cdata=True))
+                elif text.startswith("<?", pos):
                     element.append_child(self._parse_pi())
-                elif scanner.startswith("<!"):
+                elif text.startswith("<!", pos):
                     raise scanner.error("markup declaration not allowed here")
                 else:
-                    flush()
                     element.append_child(self._parse_element(element))
             elif ch == "&":
                 text_parts.append(self._parse_reference())
-            elif ch == "]" and scanner.startswith("]]>"):
-                raise scanner.error("']]>' is not allowed in content")
-            else:
-                if ch == "\r":
-                    # End-of-line normalization (XML 1.0 §2.11).
-                    text_parts.append("\n")
-                    scanner.advance()
-                    if scanner.peek() == "\n":
-                        scanner.advance()
-                    continue
-                if not is_xml_char(ch):
-                    raise scanner.error(
-                        f"illegal character U+{ord(ch):04X} in content")
+            elif ch == "]":
+                if text.startswith("]]>", pos):
+                    raise scanner.error("']]>' is not allowed in content")
                 text_parts.append(ch)
-                scanner.advance()
+                scanner.pos = pos + 1
+            elif ch == "\r":
+                # End-of-line normalization (XML 1.0 §2.11).
+                text_parts.append("\n")
+                if text.startswith("\n", pos + 1):
+                    pos += 1
+                scanner.pos = pos + 1
+            elif not ch:
+                raise scanner.error(
+                    f"unexpected end of input inside <{element.name}>")
+            else:
+                raise scanner.error(
+                    f"illegal character U+{ord(ch):04X} in content")
 
     def _parse_end_tag(self, element: Element) -> None:
         scanner = self._scanner
@@ -381,7 +442,7 @@ class XMLParser:
         data = scanner.read_until("-->", "comment")
         if "--" in data or data.endswith("-"):
             raise scanner.error("'--' is not allowed inside comments")
-        return Comment(data)
+        return Comment(_normalize_line_ends(data))
 
     def _parse_pi(self) -> ProcessingInstruction:
         scanner = self._scanner
@@ -397,7 +458,7 @@ class XMLParser:
             data = scanner.read_until("?>", "processing instruction")
         else:
             scanner.expect("?>", "'?>'")
-        return ProcessingInstruction(target, data)
+        return ProcessingInstruction(target, _normalize_line_ends(data))
 
     def _parse_reference(self) -> str:
         scanner = self._scanner
@@ -427,22 +488,24 @@ class XMLParser:
                 raise XMLNamespaceError(
                     f"element name {element.name!r} is not a valid QName",
                     element.line, element.column)
+            # Unprefixed names are already unique (the parser rejects a
+            # repeated name) and have no namespace, so they can neither
+            # be invalid QNames nor collide with a prefixed attribute.
             expanded_seen: set[tuple[str | None, str]] = set()
             for attr in element.attributes:
-                if attr.name == "xmlns" or attr.name.startswith("xmlns:"):
+                if ":" not in attr.name or attr.name.startswith("xmlns:"):
                     continue
                 if not is_qname(attr.name):
                     raise XMLNamespaceError(
                         f"attribute name {attr.name!r} is not a valid QName",
                         attr.line, attr.column)
                 aprefix = attr.prefix
-                if aprefix is not None and \
-                        element.lookup_namespace(aprefix) is None:
+                if element.lookup_namespace(aprefix) is None:
                     raise XMLNamespaceError(
                         f"undeclared namespace prefix {aprefix!r} on "
                         f"attribute {attr.name!r}", attr.line, attr.column)
                 key = (attr.namespace_uri, attr.local_name)
-                if aprefix is not None and key in expanded_seen:
+                if key in expanded_seen:
                     raise XMLNamespaceError(
                         f"duplicate attribute {{{key[0]}}}{key[1]}",
                         attr.line, attr.column)
