@@ -1,11 +1,22 @@
-"""The socket layer: :class:`ModelRepositoryApp` on ThreadingHTTPServer.
+"""The socket layer: :class:`ModelRepositoryApp` behind an HTTP/1.1 reader.
 
 Stdlib-only, matching the repo's no-dependency rule.  The paper ran
 XSLT "in the server and the HTML is returned to the client browser"
-(§6); this module is that server.  ``ThreadingHTTPServer`` gives one
-thread per connection, which is exactly the concurrency model the site
-cache is built for: distinct models publish in parallel, concurrent
-requests for one stale model coalesce on its build lock.
+(§6); this module is that server.  :class:`RepositoryHTTPServer` gives
+one thread per connection, which is exactly the concurrency model the
+site cache is built for: distinct models publish in parallel,
+concurrent requests for one stale model coalesce on its build lock.
+
+The handler speaks HTTP/1.1 itself (DESIGN.md §11) instead of going
+through the stdlib's ``BaseHTTPRequestHandler``: the request line and
+each header line come from the connection's buffered reader, the
+headers go into one lower-cased dict that is handed straight to
+``app.handle``, and each response leaves in one ``sendmsg`` of its head
+and body.  It keeps what the stdlib handler gave: persistent
+connections (HTTP/1.1 by default, HTTP/1.0 with ``Connection:
+keep-alive``), pipelined requests answered in order, ``100 Continue``
+for ``Expect: 100-continue``, HEAD and 304 responses without a body,
+and the stdlib's caps of 64 KiB per line and 100 header lines.
 
 The handler is hardened against hostile or broken clients (DESIGN.md
 §12): every connection carries a read timeout (stalled body reads get
@@ -14,12 +25,15 @@ bounded (``413`` past :data:`MAX_BODY_BYTES`), a non-numeric
 ``Content-Length`` is a clean ``400``, and an exception escaping the
 application layer is answered with a JSON ``500`` and a closed
 connection — never a traceback that kills the handler thread mid-
-response.  Malformed request lines (400) and oversized or over-many
-header blocks (431) are already rejected by the stdlib parser; the
-regression tests in ``tests/server/test_http_errors.py`` pin all of
-these behaviours.  ``httpd.read`` / ``httpd.write`` fault-injection
-points simulate slow and vanishing clients on either side of the
-application call.
+response.  Framing errors get the same treatment: a malformed request
+or header line (400), an over-long request line (414), over-long or
+over-many header lines (431), an unknown method or a transfer coding
+(501) and HTTP/2 or later (505).  Every rejection carries a JSON body,
+a request id and ``Connection: close``; the regression tests in
+``tests/server/test_http_errors.py`` and
+``tests/server/test_http_transport.py`` pin these behaviours.
+``httpd.read`` / ``httpd.write`` fault-injection points simulate slow
+and vanishing clients on either side of the application call.
 
 :class:`ModelServer` is the embeddable form (tests, benchmarks: bind
 port 0, ``start()``, talk HTTP, ``stop()``); :func:`serve_forever`
@@ -29,16 +43,20 @@ is the blocking form behind ``goldcase serve``.
 from __future__ import annotations
 
 import json
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 
 from ..faults import FAULTS, FaultError, fault_point
 from ..obs.recorder import RECORDER as _REC
-from .app import ModelRepositoryApp
+from .app import REQUEST_ID_HEADER, ModelRepositoryApp
 
 __all__ = ["ModelServer", "RepositoryHTTPServer", "make_handler",
            "make_server", "serve_forever", "MAX_BODY_BYTES",
-           "READ_TIMEOUT_S"]
+           "MAX_HEADERS", "MAX_LINE_BYTES", "READ_TIMEOUT_S"]
 
 #: Largest accepted request body; a PUT beyond this is answered 413.
 #: Generous for model documents (the large benchmark model is ~1 MB).
@@ -49,6 +67,15 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: (mid-body stalls are answered 408 first).
 READ_TIMEOUT_S = 30.0
 
+#: Longest request line (414 past it) or header line (431), in bytes
+#: with the line ending; the stdlib's ``http.client`` cap.
+MAX_LINE_BYTES = 65536
+
+#: Most header lines one request may carry (431 past it).
+MAX_HEADERS = 100
+
+SERVER_VERSION = "goldcase-repository/1.0"
+
 _READ_FAULT = fault_point(
     "httpd.read", "raise/delay/corrupt around the request-body socket "
                   "read (httpd.py)")
@@ -56,13 +83,56 @@ _WRITE_FAULT = fault_point(
     "httpd.write", "raise/delay before the response bytes are written "
                    "(httpd.py)")
 
+_METHODS = frozenset(("GET", "HEAD", "POST", "PUT", "DELETE"))
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus}
+_BLANK_LINES = (b"\r\n", b"\n")
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+#: Access-log escapes for control characters in a logged request line.
+_CONTROL_CHARS = {code: f"\\x{code:02x}"
+                  for code in (*range(0x20), 0x7f)}
 
-class _RepositoryHandler(BaseHTTPRequestHandler):
-    """Adapts one HTTP exchange onto ``app.handle``."""
+#: (second, "Server: …\r\nDate: …\r\n"): the Date value changes once
+#: a second, so it is formatted once a second.  Swapped as one tuple,
+#: so threads never see a half-updated pair.
+_fixed_headers = (0, "")
 
-    server_version = "goldcase-repository/1.0"
-    protocol_version = "HTTP/1.1"  # keep-alive: load generators reuse
-    # connections, so Content-Length on every response is mandatory.
+
+def _server_and_date() -> str:
+    global _fixed_headers
+    now = int(time.time())
+    cached = _fixed_headers
+    if cached[0] != now:
+        cached = _fixed_headers = (
+            now, f"Server: {SERVER_VERSION}\r\n"
+                 f"Date: {formatdate(now, usegmt=True)}\r\n")
+    return cached[1]
+
+
+class _Reject(Exception):
+    """A request the reader refuses; answered by ``_fail``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
+def _http_version(version: str) -> tuple[int, int]:
+    """``HTTP/<major>.<minor>`` as two ints; 400 for anything else."""
+    major, dot, minor = version[5:].partition(".")
+    if (version[:5] != "HTTP/" or not dot
+            or not (major.isascii() and major.isdigit())
+            or not (minor.isascii() and minor.isdigit())
+            or len(major) > 10 or len(minor) > 10):
+        raise _Reject(400, f"bad request version {version!r}")
+    return int(major), int(minor)
+
+
+class _RepositoryHandler(socketserver.StreamRequestHandler):
+    """Reads HTTP/1.1 requests off one connection into ``app.handle``."""
+
     # Small responses + keep-alive hit the Nagle/delayed-ACK interaction
     # (~40 ms per request) unless the socket writes immediately.
     disable_nagle_algorithm = True
@@ -76,59 +146,111 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
     quiet = True
     max_body_bytes = MAX_BODY_BYTES
 
-    def _fail(self, status: int, message: str, *,
-              retry_after: int | None = None) -> None:
-        """A JSON error response that always closes the connection.
+    def handle(self) -> None:
+        """Serve requests off the connection until one closes it."""
+        self.close_connection = False
+        while not self.close_connection:
+            self.command = self.path = None
+            self.requestline = "-"
+            try:
+                request = self._read_request()
+            except _Reject as reject:
+                self._fail(reject.status, reject.message)
+                return
+            except OSError as exc:  # idle keep-alive timeout, reset
+                if not self.quiet:
+                    self._log(f"connection dropped reading a request: "
+                              f"{exc!r}")
+                return
+            if request is None:  # the peer closed between requests
+                return
+            self._dispatch(*request)
 
-        Used for transport-level failures (bad framing, timeouts,
-        crashed application) where the connection state is no longer
-        trustworthy enough for keep-alive.
+    def _read_request(self) -> tuple | None:
+        """``(method, path, headers, keep_alive, expect_continue)``.
+
+        None at the end of the stream; raises :class:`_Reject` for a
+        request that must be refused.
         """
-        body = (json.dumps({"error": message, "kind": "transport"},
-                           sort_keys=True) + "\n").encode("utf-8")
-        request_id = None
-        app = self.app
-        if app is not None:
-            # The app never saw this exchange; record it in telemetry
-            # directly so transport rejections still get ids + counters.
-            request_id = app.telemetry.transport_event(
-                getattr(self, "command", None) or "-",
-                getattr(self, "path", None) or "-", status, message)
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type",
-                             "application/json; charset=utf-8")
-            if request_id is not None:
-                self.send_header("X-Goldcase-Request-Id", request_id)
-            if retry_after is not None:
-                self.send_header("Retry-After", str(retry_after))
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            pass  # the peer is gone; nothing left to tell them
-        self.close_connection = True
+        readline = self.rfile.readline
+        line = readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return None
+        if len(line) > MAX_LINE_BYTES:
+            raise _Reject(414, "request line too long")
+        self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise _Reject(400, f"bad request line {self.requestline!r}")
+        method, path, version = words
+        self.command, self.path = method, path
+        if version == "HTTP/1.1":
+            keep_alive = http11 = True
+        else:
+            number = _http_version(version)
+            if number[0] != 1:
+                raise _Reject(505, f"HTTP version {version[5:]} is not "
+                                   f"supported")
+            keep_alive = http11 = number >= (1, 1)
+        if path.startswith("//"):  # not a scheme-relative URL
+            self.path = path = "/" + path.lstrip("/")
 
-    def _read_body(self) -> bytes | None:
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _Reject(431, "header line too long")
+            if not line or line in _BLANK_LINES:
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Reject(400, f"malformed header line "
+                                   f"{line[:80]!r}")
+            headers[name.lower()] = value.strip()
+        else:
+            raise _Reject(431, f"more than {MAX_HEADERS} header lines")
+
+        connection = headers.get("connection")
+        if connection is not None:
+            connection = connection.lower()
+            if connection == "close":
+                keep_alive = False
+            elif connection == "keep-alive":
+                keep_alive = True
+        if method not in _METHODS:
+            raise _Reject(501, f"unsupported method {method!r}")
+        if "transfer-encoding" in headers:
+            raise _Reject(501, "Transfer-Encoding is not supported; "
+                               "send a Content-Length")
+        expect = http11 and \
+            headers.get("expect", "").lower() == "100-continue"
+        return method, path, headers, keep_alive, expect
+
+    def _read_body(self, headers: dict[str, str],
+                   expect_continue: bool) -> bytes | None:
         """The request body, or None after an error response was sent."""
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length else 0
-        except ValueError:
+        raw_length = headers.get("content-length")
+        if raw_length is None:
+            return b""
+        if not (raw_length.isascii() and raw_length.isdigit()):
             self._fail(400, f"invalid Content-Length {raw_length!r}")
             return None
-        if length < 0:
-            self._fail(400, f"invalid Content-Length {raw_length!r}")
-            return None
+        length = int(raw_length)
         if length > self.max_body_bytes:
             self._fail(413, f"request body of {length} bytes exceeds the "
                             f"{self.max_body_bytes}-byte limit")
             return None
+        if not length:
+            return b""
         try:
-            body = self.rfile.read(length) if length else b""
+            if expect_continue:
+                self.connection.sendall(_CONTINUE)
+            body = self.rfile.read(length)
         except TimeoutError:
             self._fail(408, "timed out reading the request body")
+            return None
+        except OSError:
+            self.close_connection = True  # the peer is gone
             return None
         if len(body) < length:
             self._fail(400, f"request body truncated at {len(body)} of "
@@ -136,8 +258,10 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
             return None
         return body
 
-    def _dispatch(self, method: str) -> None:
-        body = self._read_body()
+    def _dispatch(self, method: str, path: str, headers: dict[str, str],
+                  keep_alive: bool, expect_continue: bool) -> None:
+        self.close_connection = not keep_alive
+        body = self._read_body(headers, expect_continue)
         if body is None:
             return
         if FAULTS.enabled:
@@ -149,13 +273,13 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
                 return
         try:
-            response = self.app.handle(
-                method, self.path, dict(self.headers.items()), body)
+            response = self.app.handle(method, path, headers, body)
         except Exception as exc:  # the app must never kill the thread
             if _REC.enabled:
                 _REC.count("server.http.app_error")
-            self.log_error("application error on %s %s: %r",
-                           method, self.path, exc)
+            if not self.quiet:
+                self._log(f"application error on {method} {path}: "
+                          f"{exc!r}")
             self._fail(500, "internal server error")
             return
         if FAULTS.enabled:
@@ -164,43 +288,74 @@ class _RepositoryHandler(BaseHTTPRequestHandler):
             except FaultError:
                 self.close_connection = True  # drop before the write
                 return
+        self._respond(method, response.status, response.headers,
+                      response.body)
+
+    def _fail(self, status: int, message: str) -> None:
+        """A JSON error response that always closes the connection.
+
+        Used for transport-level failures (bad framing, timeouts,
+        crashed application) where the connection state is no longer
+        trustworthy enough for keep-alive.
+        """
+        body = (json.dumps({"error": message, "kind": "transport"},
+                           sort_keys=True) + "\n").encode("utf-8")
+        headers = [("Content-Type", "application/json; charset=utf-8")]
+        if self.app is not None:
+            # The app never saw this exchange; record it in telemetry
+            # directly so transport rejections still get ids + counters.
+            request_id = self.app.telemetry.transport_event(
+                self.command or "-", self.path or "-", status, message)
+            if request_id is not None:
+                headers.append((REQUEST_ID_HEADER, request_id))
+        self.close_connection = True
+        self._respond(self.command, status, headers, body)
+
+    def _respond(self, method: str | None, status: int,
+                 headers: list[tuple[str, str]], body: bytes) -> None:
+        """Send one response: its head and body in a single write."""
+        lines = [_STATUS_LINES.get(status) or f"HTTP/1.1 {status} \r\n",
+                 _server_and_date()]
+        for name, value in headers:
+            lines.append(f"{name}: {value}\r\n")
+        if status != 304:  # RFC 9110 §8.6: a 304 has no Content-Length
+            lines.append(f"Content-Length: {len(body)}\r\n")
+        if self.close_connection:
+            lines.append("Connection: close\r\n")
+        lines.append("\r\n")
+        head = "".join(lines).encode("iso-8859-1")
+        if method == "HEAD" or status == 304:
+            body = b""
         try:
-            self.send_response(response.status)
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(response.body)))
-            self.end_headers()
-            if method != "HEAD" and response.status != 304:
-                self.wfile.write(response.body)
-        except (OSError, TimeoutError):
+            self._send(head, body)
+        except OSError:
             self.close_connection = True  # peer vanished mid-write
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._dispatch("GET")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._dispatch("HEAD")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:
-            super().log_message(format, *args)
+            self._log(f'"{self.requestline.translate(_CONTROL_CHARS)}" '
+                      f"{status} {len(body)}")
         if _REC.enabled:
             _REC.count("server.http.request_line")
 
-    def log_error(self, format: str, *args) -> None:  # noqa: A002
-        # Transport-level rejections (400/408/413/431/500) are expected
-        # under chaos; keep them off stderr unless access logging is on.
-        if not self.quiet:
-            super().log_error(format, *args)
+    def _send(self, head: bytes, body: bytes) -> None:
+        """Write *head* then *body* with one ``sendmsg`` when it fits.
+
+        The two buffers go to the kernel side by side, so a page is
+        never copied into a joined bytes object; a partial send (a full
+        socket buffer) finishes with ``sendall`` on what is left.
+        """
+        sock = self.connection
+        sent = sock.sendmsg((head, body))
+        if sent < len(head):
+            sock.sendall(head[sent:])
+            sent = len(head)
+        if sent - len(head) < len(body):
+            sock.sendall(memoryview(body)[sent - len(head):])
+
+    def _log(self, message: str) -> None:
+        """One stderr line in the common log format's leading fields."""
+        sys.stderr.write(
+            f"{self.client_address[0]} - - "
+            f"[{time.strftime('%d/%b/%Y %H:%M:%S')}] {message}\n")
 
 
 def make_handler(app: ModelRepositoryApp, *, quiet: bool = True,
@@ -217,9 +372,10 @@ def make_handler(app: ModelRepositoryApp, *, quiet: bool = True,
                  "max_body_bytes": max_body_bytes})
 
 
-class RepositoryHTTPServer(ThreadingHTTPServer):
+class RepositoryHTTPServer(socketserver.ThreadingTCPServer):
     """The threaded server under every socket layer of the repository."""
 
+    allow_reuse_address = True
     daemon_threads = True
     #: ``listen()`` backlog.  The stdlib default of 5 overflows under a
     #: burst of concurrent connects; the kernel then drops the SYNs and

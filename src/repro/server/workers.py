@@ -15,8 +15,9 @@ module is the scale-out described in DESIGN.md §17:
   accept lock and no proxy hop.  Elsewhere, the supervisor binds and
   listens one socket and the forked workers all ``accept()`` on the
   inherited descriptor.
-* **N workers**, each a full :class:`~http.server.ThreadingHTTPServer`
-  running the exact same hardened handler as the single-process server
+* **N workers**, each a thread-per-connection
+  :class:`~repro.server.httpd.RepositoryHTTPServer` running the exact
+  same HTTP/1.1 reader as the single-process server
   (:func:`repro.server.httpd.make_handler`) over its own app, cache,
   and telemetry.  Per-worker state keeps every existing contract —
   coalescing, serve-stale, shedding — intact *within* a worker; the
@@ -116,8 +117,6 @@ class _InheritedSocketServer(RepositoryHTTPServer):
         self.socket.close()  # the unused fresh socket
         self.socket = shared
         self.server_address = address
-        self.server_name = socket.getfqdn(address[0])
-        self.server_port = address[1]
 
 
 def _worker_main(worker_id: int, host: str, port: int, store_dir: str,
